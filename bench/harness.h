@@ -87,13 +87,14 @@ struct RunResult {
  * enables the engine trace ring (bench/wallclock --traced uses it to
  * gauge tracing overhead); events are discarded, only the cost of
  * emitting them is measured. @p jit_tier selects the region
- * template-compilation tier for FTL-hot functions (bit-identical
- * stats, host speed only).
+ * template-compilation tier for optimized IR, as a default Engine
+ * does; false runs the IrExecutor reference (bit-identical stats,
+ * host speed only).
  */
 inline std::vector<RunResult>
 runSuite(const std::vector<BenchmarkSpec> &suite, Architecture arch,
          Tier max_tier = Tier::Ftl, uint32_t trace_capacity = 0,
-         bool jit_tier = false)
+         bool jit_tier = true)
 {
     std::vector<RunResult> results;
     for (const BenchmarkSpec &spec : suite) {

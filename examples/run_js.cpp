@@ -6,12 +6,15 @@
  *
  * Usage:
  *   run_js [--arch base|nomap_s|nomap_b|nomap|nomap_bc|nomap_rtm]
- *          [--tier interp|baseline|dfg|ftl] [--jit]
+ *          [--tier interp|baseline|dfg|ftl] [--reference]
  *          (<file.js> | --bench S01..S26|K01..K14)
  *
- * --jit executes FTL-hot functions through the region template tier
- * (EngineConfig::jitTier) — host speed only; the printed result and
- * every statistic must be identical with and without it.
+ * --reference runs the slow reference configuration the differential
+ * tests compare against: per-op accounting, no quickening, and the
+ * IrExecutor loop instead of the region template tier
+ * (EngineConfig::jitTier). Host speed only; the printed result and
+ * every statistic must be identical with and without it, so a
+ * differential failure reproduces as a diff of two runs.
  */
 
 #include <cstdio>
@@ -76,12 +79,12 @@ usage()
 {
     std::fprintf(stderr,
                  "usage: run_js [--arch <arch>] [--tier <tier>] "
-                 "[--jit] (<file.js> | --bench <id>)\n"
+                 "[--reference] (<file.js> | --bench <id>)\n"
                  "  arch: base nomap_s nomap_b nomap nomap_bc "
                  "nomap_rtm (default base)\n"
                  "  tier: interp baseline dfg ftl (default ftl)\n"
-                 "  --jit: region template tier for FTL-hot "
-                 "functions (same stats, faster host)\n"
+                 "  --reference: per-op accounting, no quickening, "
+                 "no jit tier (same stats, slower host)\n"
                  "  bench ids: S01..S26, K01..K14\n");
     return 2;
 }
@@ -92,6 +95,7 @@ int
 main(int argc, char **argv)
 {
     EngineConfig config;
+    bool reference = false;
     std::string source;
     std::string label;
 
@@ -103,8 +107,11 @@ main(int argc, char **argv)
                    i + 1 < argc) {
             if (!parseTier(argv[++i], &config.maxTier))
                 return usage();
-        } else if (std::strcmp(argv[i], "--jit") == 0) {
-            config.jitTier = true;
+        } else if (std::strcmp(argv[i], "--reference") == 0) {
+            reference = true;
+            config.perOpAccounting = true;
+            config.quickening = false;
+            config.jitTier = false;
         } else if (std::strcmp(argv[i], "--bench") == 0 &&
                    i + 1 < argc) {
             const BenchmarkSpec *spec = findBenchmark(argv[++i]);
@@ -137,7 +144,7 @@ main(int argc, char **argv)
         std::printf("%s under %s (max tier %s%s)\n", label.c_str(),
                     architectureName(config.arch),
                     tierName(config.maxTier),
-                    config.jitTier ? ", jit templates" : "");
+                    reference ? ", reference mode" : "");
         if (!r.printed.empty())
             std::printf("--- program output ---\n%s----------------"
                         "------\n", r.printed.c_str());

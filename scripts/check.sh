@@ -4,9 +4,11 @@
 #
 #   1. plain           — full suite (unit, integration, concurrency,
 #                        chaos, trace, adaptive, examples, bench
-#                        smokes), then the perf-smoke label and the
-#                        disabled-trace wallclock envelope as explicit
-#                        steps
+#                        smokes), then the perf-smoke label, the
+#                        disabled-trace wallclock envelope and a short
+#                        default-config benchmark suites run checked
+#                        against the reference expectations as
+#                        explicit steps
 #   2. address+undefined — full suite under ASan+UBSan
 #   3. thread          — concurrency-, chaos-, trace-, net-,
 #                        adaptive-, stm-, and jit-labeled tests only
@@ -123,6 +125,28 @@ step "1h/3 jit label: template-tier bit-identity differential"
 # that stops refunding exactly) is its own CI signal.
 run env CTEST_OUTPUT_ON_FAILURE=1 \
     ctest --test-dir build-check -j "$JOBS" -L jit
+
+step "1i/3 benchmark suites: default config vs reference expectations"
+# perfbench/suites_expected.tsv holds every suite program's result and
+# stats digest, generated in the reference configuration (per-op
+# accounting, no quickening, jit tier off). The suites workload runs
+# the default config, so one short run checks the default path
+# against the reference bit for bit.
+run env CARGO_TARGET_DIR=build-check-perfbench python3 - <<'PY'
+import json, subprocess, sys
+out = subprocess.run(
+    [sys.executable, "perfbench/run.py", "--workload", "suites",
+     "--seed", "1", "--seconds", "5", "--trace", "0"],
+    stdout=subprocess.PIPE, text=True)
+lines = out.stdout.strip().splitlines()
+if out.returncode != 0 or not lines:
+    sys.exit("perfbench suites run failed")
+result = json.loads(lines[-1])
+print(f"correct={result['correct']} failed={result['failed']} "
+      f"attempted={result['attempted']}")
+if not result["correct"] or result["failed"] != 0:
+    sys.exit("default-config suites diverged from the reference")
+PY
 
 step "2/3 AddressSanitizer + UndefinedBehaviorSanitizer, full suite"
 run cmake -B build-check-asan -S . "-DNOMAP_SANITIZE=address;undefined"

@@ -106,15 +106,15 @@ struct EngineConfig {
     bool quickening = true;
 
     /**
-     * Region template-compilation tier (src/jit/): execute
-     * FTL-compiled functions as chains of build-time-compiled
-     * continuation templates bound per flat-IR record instead of the
-     * direct-threaded FTL executor loop. Host-side acceleration only:
+     * Region template-compilation tier (src/jit/), on by default:
+     * execute optimized IR (DFG- and FTL-tier functions) as chains of
+     * build-time-compiled continuation templates bound per flat-IR
+     * record. Off runs the direct-threaded IrExecutor loop instead,
+     * which is the reference oracle. Host-side acceleration only:
      * results, ExecutionStats, and traces are bit-identical with the
-     * tier on or off (enforced by the jit differential test). Off is
-     * the reference mode.
+     * tier on or off (enforced by the jit differential test).
      */
-    bool jitTier = false;
+    bool jitTier = true;
 
     /**
      * Adaptive transaction planning: attach an AdaptiveController to

@@ -173,6 +173,7 @@ Engine::reset()
     shapesPtr = nullptr;
     stats = ExecutionStats();
     hasRun = false;
+    chainsBuilt = 0;
     initVm();
 }
 
@@ -387,6 +388,16 @@ Engine::applyAdaptiveRevision(uint32_t func_id, FunctionState &state)
     recompileFtl(func_id, state);
 }
 
+JitChain &
+Engine::chainFor(std::unique_ptr<JitChain> &slot, IrFunction &ir)
+{
+    if (!slot) {
+        slot = buildJitChain(ir);
+        ++chainsBuilt;
+    }
+    return *slot;
+}
+
 Value
 Engine::call(uint32_t func_id, const Value *args, uint32_t nargs)
 {
@@ -403,6 +414,10 @@ Engine::call(uint32_t func_id, const Value *args, uint32_t nargs)
       case Tier::Baseline:
         return baselineExec->run(fn, args, nargs);
       case Tier::Dfg:
+        if (engineConfig.jitTier) {
+            return jitExec->run(chainFor(state.dfgJit, state.dfg->ir),
+                                state.dfg->ir, fn, args, nargs);
+        }
         return irExec->run(state.dfg->ir, fn, args, nargs);
       case Tier::Ftl: {
         ++stats.ftlFunctionCalls;
@@ -418,13 +433,10 @@ Engine::call(uint32_t func_id, const Value *args, uint32_t nargs)
         Value v;
         try {
             if (engineConfig.jitTier) {
-                // Region template tier: compile the chain lazily on
-                // the first FTL-tier call (recompileFtl invalidates
-                // it, so the literals always track the live IR).
-                if (!state.jit)
-                    state.jit = buildJitChain(state.ftl->ir);
-                v = jitExec->run(*state.jit, state.ftl->ir, fn, args,
-                                 nargs);
+                // recompileFtl drops the chain, so a rebuilt one
+                // always tracks the live IR.
+                v = jitExec->run(chainFor(state.jit, state.ftl->ir),
+                                 state.ftl->ir, fn, args, nargs);
             } else {
                 v = irExec->run(state.ftl->ir, fn, args, nargs);
             }

@@ -59,6 +59,12 @@ struct FunctionState {
     std::unique_ptr<CompiledIr> dfg;
     std::unique_ptr<CompiledIr> ftl;
     /**
+     * Region template chain compiled from `dfg->ir`
+     * (EngineConfig::jitTier). Built lazily on the first DFG-tier
+     * call; `dfg` is compiled once, so the chain never goes stale.
+     */
+    std::unique_ptr<JitChain> dfgJit;
+    /**
      * Region template chain compiled from `ftl->ir`
      * (EngineConfig::jitTier). Built lazily on the first FTL-tier
      * call; reset whenever `ftl` is recompiled so the chain's
@@ -229,6 +235,15 @@ class Engine : public CallDispatcher
     }
 
     /**
+     * Region template chains built (DFG plus FTL, rebuilds after a
+     * recompile included) since construction or the last reset().
+     * A host-side counter of jit-tier work: it stays out of
+     * ExecutionStats, whose every field is pinned bit-identical with
+     * the tier on or off.
+     */
+    uint64_t jitChainsBuilt() const { return chainsBuilt; }
+
+    /**
      * Resolve a function id to its source name for trace exporters
      * ("" when unknown / no program loaded).
      */
@@ -249,6 +264,8 @@ class Engine : public CallDispatcher
     void recompileFtl(uint32_t func_id, FunctionState &state);
     void applyAdaptiveRevision(uint32_t func_id,
                                FunctionState &state);
+    /** The chain in @p slot, built from @p ir first if empty. */
+    JitChain &chainFor(std::unique_ptr<JitChain> &slot, IrFunction &ir);
 
     EngineConfig engineConfig;
     CompiledProgramCache *programCache = nullptr;
@@ -259,6 +276,7 @@ class Engine : public CallDispatcher
     const FaultPlan *armedPlan = nullptr;
     std::unique_ptr<FaultInjector> injector;
     bool hasRun = false;
+    uint64_t chainsBuilt = 0;
 
     /** Viewing an ExternalVm instead of owning the triple below. */
     bool externalVm = false;

@@ -19,11 +19,11 @@ engineConfigKey(const EngineConfig &config)
 {
     // traceCapacity is part of the identity: a shelved traceless
     // isolate must never serve a request that expects a trace buffer.
-    // Knobs with no guest-visible effect (perOpAccounting, jitTier —
-    // the template tier is pinned bit-identical by the jit
-    // differential) stay out of the key on purpose: shelving must not
-    // fragment per host-speed flavor.
-    return strprintf(
+    // Knobs with no guest-visible effect (perOpAccounting, quickening,
+    // jitTier — each pinned bit-identical by its differential) stay
+    // out of the key on purpose: shelving must not fragment per
+    // host-speed flavor.
+    std::string key = strprintf(
         "%u|%u|%llu|%llu|%llu|%llu|%llu|%u|%u",
         static_cast<unsigned>(config.arch),
         static_cast<unsigned>(config.maxTier),
@@ -34,6 +34,16 @@ engineConfigKey(const EngineConfig &config)
         static_cast<unsigned long long>(config.txWatchdogInstructions),
         static_cast<unsigned>(config.abortEscalationLimit),
         static_cast<unsigned>(config.traceCapacity));
+    // The planner and the capacity model change guest-visible stats.
+    // They are appended only when off their defaults, so a default
+    // config keeps the key (and the shard it hashes to) it always had.
+    if (config.adaptive)
+        key += "|adaptive";
+    if (config.capacityModel != CapacityModelKind::WaysAssoc) {
+        key += strprintf("|cap%u",
+                         static_cast<unsigned>(config.capacityModel));
+    }
+    return key;
 }
 
 std::unique_ptr<Engine>
@@ -60,10 +70,12 @@ EnginePool::release(std::unique_ptr<Engine> engine)
     if (!engine)
         return;
     // Reset outside the lock: it rebuilds the whole VM.
+    uint64_t chains = engine->jitChainsBuilt();
     engine->reset();
     engine->setProgramCache(nullptr);
     engine->setCancelFlag(nullptr);
     std::lock_guard<std::mutex> lock(mutex);
+    counters.jitChainsBuilt += chains;
     auto &shelf = idle[engineConfigKey(engine->config())];
     if (shelf.size() < maxIdlePerConfig) {
         shelf.push_back(std::move(engine));
@@ -77,8 +89,10 @@ EnginePool::discard(std::unique_ptr<Engine> engine)
 {
     if (!engine)
         return;
+    uint64_t chains = engine->jitChainsBuilt();
     engine.reset();
     std::lock_guard<std::mutex> lock(mutex);
+    counters.jitChainsBuilt += chains;
     ++counters.discarded;
 }
 
@@ -527,6 +541,7 @@ ExecutionService::metrics() const
     snap.enginesReused = pool_stats.reused;
     snap.enginesDiscarded = pool_stats.discarded;
     snap.enginesIdle = pool.idleCount();
+    snap.jitChainsBuilt = pool_stats.jitChainsBuilt;
 
     ProgramCacheStats cache_stats = programCache.stats();
     snap.cacheHits = cache_stats.hits;

@@ -46,10 +46,11 @@
 namespace nomap {
 
 /**
- * Stable identity of an EngineConfig: every behavior knob, rendered
- * as a string. Used by EnginePool to key idle isolates and by the
- * shard router to key placement (same identity -> same shard, so a
- * tenant's isolates and compiled programs stay shard-local).
+ * Stable identity of an EngineConfig: every knob with a
+ * guest-visible effect, rendered as a string. Used by EnginePool to
+ * key idle isolates and by the shard router to key placement (same
+ * identity -> same shard, so a tenant's isolates and compiled
+ * programs stay shard-local).
  */
 std::string engineConfigKey(const EngineConfig &config);
 
@@ -76,6 +77,8 @@ class EnginePool
         uint64_t created = 0;
         uint64_t reused = 0;
         uint64_t discarded = 0;
+        /** Jit chains the engines built before coming back. */
+        uint64_t jitChainsBuilt = 0;
     };
 
     Stats stats() const;

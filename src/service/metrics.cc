@@ -156,6 +156,9 @@ ServiceMetricsSnapshot::toJson(int indent) const
     out += strprintf("\"idle\": %llu},\n",
                      static_cast<unsigned long long>(enginesIdle));
     out += pad;
+    out += strprintf("  \"jit\": {\"chains_built\": %llu},\n",
+                     static_cast<unsigned long long>(jitChainsBuilt));
+    out += pad;
     out += "  \"program_cache\": {";
     out += strprintf("\"hits\": %llu, ",
                      static_cast<unsigned long long>(cacheHits));

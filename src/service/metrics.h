@@ -102,6 +102,10 @@ struct ServiceMetricsSnapshot {
     uint64_t enginesDiscarded = 0;
     uint64_t enginesIdle = 0;
 
+    // ---- Jit tier (host-side, outside the guest contract) --------------
+    /** Region template chains built, DFG plus FTL. */
+    uint64_t jitChainsBuilt = 0;
+
     // ---- Program cache -------------------------------------------------
     uint64_t cacheHits = 0;
     uint64_t cacheMisses = 0;

@@ -14,7 +14,9 @@
  * in the same occurrence order), with tracing enabled, and across
  * adaptive replanning mid-abort-storm — where tier revisions must
  * respect the activeRuns/pendingRecompile deferral so the region
- * chain is never rebuilt under a live activation.
+ * chain is never rebuilt under a live activation. DFG-tier IR runs on
+ * its own chain when the tier is on, so the suites are also compared
+ * with the engine capped at DFG.
  */
 
 #include <algorithm>
@@ -40,10 +42,12 @@ struct Outcome {
 
 Outcome
 runOutcome(const std::string &source, Architecture arch, bool jit,
-           uint32_t trace_capacity, const FaultPlan *plan)
+           uint32_t trace_capacity, const FaultPlan *plan,
+           Tier max_tier = Tier::Ftl)
 {
     EngineConfig config;
     config.arch = arch;
+    config.maxTier = max_tier;
     config.jitTier = jit;
     config.traceCapacity = trace_capacity;
     Engine engine(config);
@@ -110,13 +114,15 @@ expectSameOutcome(const Outcome &jit, const Outcome &ftl)
 void
 compareSuite(const std::vector<BenchmarkSpec> &suite, Architecture arch,
              uint32_t trace_capacity = 0,
-             const FaultPlan *plan = nullptr)
+             const FaultPlan *plan = nullptr,
+             Tier max_tier = Tier::Ftl)
 {
     for (const BenchmarkSpec &spec : suite) {
         SCOPED_TRACE(spec.id + " on " + architectureName(arch));
-        expectSameOutcome(
-            runOutcome(spec.source, arch, true, trace_capacity, plan),
-            runOutcome(spec.source, arch, false, trace_capacity, plan));
+        expectSameOutcome(runOutcome(spec.source, arch, true,
+                                     trace_capacity, plan, max_tier),
+                          runOutcome(spec.source, arch, false,
+                                     trace_capacity, plan, max_tier));
     }
 }
 
@@ -142,6 +148,14 @@ TEST_P(Jit, SunSpiderMatchesFtlPath)
 TEST_P(Jit, KrakenMatchesFtlPath)
 {
     compareSuite(krakenSuite(), GetParam());
+}
+
+// Capped at DFG, every hot function runs DFG-tier IR for the whole
+// program, so the DFG chain carries all of the optimized execution.
+TEST_P(Jit, DfgCappedSuitesMatchIrExecutor)
+{
+    compareSuite(sunspiderSuite(), GetParam(), 0, nullptr, Tier::Dfg);
+    compareSuite(krakenSuite(), GetParam(), 0, nullptr, Tier::Dfg);
 }
 
 // The three-way contract over generated programs: compiled tier vs
@@ -318,6 +332,47 @@ TEST(JitStructure, HotProgramBuildsFusedChain)
     }
     EXPECT_TRUE(any_chain);
     EXPECT_TRUE(any_fused);
+}
+
+// DFG-tier IR runs on its own chain, and the engine counts every chain
+// it builds; with the tier off nothing is built and nothing counted.
+TEST(JitStructure, DfgFunctionsRunOnChainsAndBuildsAreCounted)
+{
+    for (bool jit : {true, false}) {
+        SCOPED_TRACE(jit ? "jitTier on" : "jitTier off");
+        EngineConfig config;
+        config.arch = Architecture::Base;
+        config.maxTier = Tier::Dfg;
+        config.jitTier = jit;
+        Engine engine(config);
+        engine.run(sunspiderSuite()[0].source);
+        const CompiledProgram *prog = engine.program();
+        ASSERT_NE(prog, nullptr);
+
+        uint64_t dfg_chains = 0;
+        for (const auto &fnp : prog->functions) {
+            const FunctionState *state =
+                engine.functionState(fnp->name);
+            if (!state)
+                continue;
+            EXPECT_EQ(state->jit, nullptr) << fnp->name;
+            if (!state->dfgJit)
+                continue;
+            ++dfg_chains;
+            ASSERT_NE(state->dfg, nullptr) << fnp->name;
+            EXPECT_EQ(state->dfgJit->records.size(),
+                      state->dfg->ir.flat.size())
+                << fnp->name;
+        }
+        EXPECT_EQ(engine.jitChainsBuilt(), dfg_chains);
+        if (jit)
+            EXPECT_GT(dfg_chains, 0u);
+        else
+            EXPECT_EQ(dfg_chains, 0u);
+
+        engine.reset();
+        EXPECT_EQ(engine.jitChainsBuilt(), 0u);
+    }
 }
 
 // Transactional regions must run the tx-aware template variant and

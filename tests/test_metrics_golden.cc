@@ -95,6 +95,7 @@ sampleSnapshot()
     s.enginesReused = 110;
     s.enginesDiscarded = 2;
     s.enginesIdle = 4;
+    s.jitChainsBuilt = 37;
     s.cacheHits = 100;
     s.cacheMisses = 14;
     s.cacheEntries = 9;

@@ -408,6 +408,169 @@ TEST(Service, ShutdownDrainsQueuedWorkAndRejectsNewWork)
     EXPECT_EQ(refused.status, ResponseStatus::Shutdown);
 }
 
+// ---- Pool identity -----------------------------------------------------
+
+// Page-strided writes: every store maps to one cache set, so the
+// set-associative capacity model aborts where the limited-set one
+// commits.
+const char *kStridedScript = R"JS(
+var N = 65536;
+var A = [];
+for (var i = 0; i < N; i++) A[i] = i % 17;
+function storm(a, n) {
+    var s = 0;
+    for (var j = 0; j < n; j++) {
+        var k = (j * 512) % N + ((j * 512 / N) | 0);
+        a[k] = (a[k] + j) % 1021;
+        s = (s + a[k]) % 65536;
+    }
+    return s;
+}
+var out = 0;
+for (var r = 0; r < 12; r++) out = (out + storm(A, 4096)) % 65536;
+result = out;
+)JS";
+
+// A double lands in an int array halfway through: the first loop's
+// checks abort every call. Static escalation drops all of f's
+// transactions; the adaptive planner blacklists that loop only.
+const char *kCheckAbortScript = R"JS(
+var N = 4096;
+var A = [];
+for (var i = 0; i < N; i++) A[i] = i % 17;
+function f(a, n) {
+    var s = 0;
+    for (var j = 0; j < n; j++) s = (s + a[j]) % 65536;
+    for (var j = 0; j < n; j++) a[j] = (a[j] + 1) % 1000;
+    return s;
+}
+var out = 0;
+for (var r = 0; r < 40; r++) {
+    if (r > 20) A[100] = 0.5 + r;
+    out = (out + f(A, N)) % 65536;
+}
+result = out;
+)JS";
+
+EngineConfig
+stormConfig()
+{
+    EngineConfig config;
+    config.arch = Architecture::NoMap;
+    // Tier up fast so most calls run FTL transactions.
+    config.baselineThreshold = 2;
+    config.dfgThreshold = 4;
+    config.ftlThreshold = 8;
+    return config;
+}
+
+TEST(EnginePool, DefaultConfigKeyIsUnchanged)
+{
+    // ShardedService hashes this key for routing, so the default
+    // config's key must keep its exact bytes.
+    EXPECT_EQ(engineConfigKey(EngineConfig()),
+              "0|3|4|16|60|24301|400000000|8|0");
+    EngineConfig host_only;
+    host_only.perOpAccounting = true;
+    host_only.quickening = false;
+    host_only.jitTier = false;
+    EXPECT_EQ(engineConfigKey(host_only),
+              engineConfigKey(EngineConfig()));
+}
+
+TEST(Service, ShelvedEngineOfAnotherPlannerOrCapacityModelIsNotReused)
+{
+    EngineConfig ways = stormConfig();
+    EngineConfig limited = stormConfig();
+    limited.capacityModel = CapacityModelKind::LimitedSet;
+    EngineConfig adaptive = stormConfig();
+    adaptive.adaptive = true;
+
+    struct Pair {
+        const char *name;
+        const char *source;
+        EngineConfig first;
+        EngineConfig second;
+    };
+    const Pair pairs[] = {
+        {"capacity model", kStridedScript, ways, limited},
+        {"capacity model", kStridedScript, limited, ways},
+        {"planner", kCheckAbortScript, ways, adaptive},
+        {"planner", kCheckAbortScript, adaptive, ways},
+    };
+    for (const Pair &pair : pairs) {
+        SCOPED_TRACE(pair.name);
+        EXPECT_NE(engineConfigKey(pair.first),
+                  engineConfigKey(pair.second));
+
+        // The guest can tell the two configs apart: fresh isolates
+        // report different stats for the same program.
+        Engine fresh_first(pair.first);
+        EngineResult a = fresh_first.run(pair.source);
+        Engine fresh_second(pair.second);
+        EngineResult want = fresh_second.run(pair.source);
+        ASSERT_EQ(a.resultString, want.resultString);
+        ASSERT_TRUE(a.stats.txCommits != want.stats.txCommits ||
+                    a.stats.totalCycles() != want.stats.totalCycles())
+            << "configs are indistinguishable; the test is vacuous";
+
+        // One worker: the second request runs after the first one's
+        // engine is shelved, and must not be handed that engine.
+        ServiceConfig sc;
+        sc.workers = 1;
+        ExecutionService service(sc);
+        Request first;
+        first.source = pair.source;
+        first.config = pair.first;
+        Response ra = service.submit(std::move(first)).get();
+        ASSERT_TRUE(ra.ok()) << ra.error;
+        expectStatsEqual(ra.stats, a.stats, "first request");
+
+        Request second;
+        second.source = pair.source;
+        second.config = pair.second;
+        Response rb = service.submit(std::move(second)).get();
+        ASSERT_TRUE(rb.ok()) << rb.error;
+        EXPECT_EQ(rb.resultString, want.resultString);
+        expectStatsEqual(rb.stats, want.stats, "second request");
+        EXPECT_EQ(service.metrics().enginesReused, 0u);
+    }
+}
+
+// ---- Jit chain counter --------------------------------------------------
+
+TEST(Service, MetricsCountJitChainsOnTheDefaultPath)
+{
+    for (bool jit : {true, false}) {
+        SCOPED_TRACE(jit ? "default config" : "jitTier off");
+        ServiceConfig sc;
+        sc.workers = 2;
+        ExecutionService service(sc);
+        std::vector<std::future<Response>> futures;
+        for (const char *src : kScripts) {
+            Request req;
+            req.source = src;
+            req.config.jitTier = jit;
+            futures.push_back(service.submit(std::move(req)));
+        }
+        for (auto &f : futures) {
+            Response r = f.get();
+            ASSERT_TRUE(r.ok()) << r.error;
+            EXPECT_GT(r.stats.ftlFunctionCalls, 0u);
+        }
+        ServiceMetricsSnapshot snap = service.metrics();
+        if (jit)
+            EXPECT_GT(snap.jitChainsBuilt, 0u);
+        else
+            EXPECT_EQ(snap.jitChainsBuilt, 0u);
+        EXPECT_NE(snap.toJson().find(strprintf(
+                      "\"jit\": {\"chains_built\": %llu}",
+                      static_cast<unsigned long long>(
+                          snap.jitChainsBuilt))),
+                  std::string::npos);
+    }
+}
+
 // ---- Engine reuse primitives -------------------------------------------
 
 TEST(Engine, ResetStatsReportsPerRunCounters)
