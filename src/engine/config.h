@@ -109,10 +109,12 @@ struct EngineConfig {
      * Region template-compilation tier (src/jit/), on by default:
      * execute optimized IR (DFG- and FTL-tier functions) as chains of
      * build-time-compiled continuation templates bound per flat-IR
-     * record. Off runs the direct-threaded IrExecutor loop instead,
-     * which is the reference oracle. Host-side acceleration only:
-     * results, ExecutionStats, and traces are bit-identical with the
-     * tier on or off (enforced by the jit differential test).
+     * record. Off runs the IrExecutor reference loop instead, which
+     * dispatches per op through an opcode label table; both loops
+     * share their op bodies and exits (ftl/ir_semantics.h).
+     * Host-side acceleration only: results, ExecutionStats, and
+     * traces are bit-identical with the tier on or off (enforced by
+     * the jit differential test).
      */
     bool jitTier = true;
 

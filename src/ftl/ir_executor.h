@@ -12,20 +12,12 @@
  * stack maps, transactions with true rollback and Baseline re-entry,
  * cache and HTM footprint traffic — happens for real.
  *
- * Speculative-execution rule: inside a transaction, a type-mismatched
- * fast op (possible after NoMap's speculative hoisting or check
- * combining) produces a deterministic garbage value, exactly like
- * hardware executing past a removed check; the transaction's
- * remaining/sunk checks abort before such garbage can commit. Outside
- * a transaction every fast op is fully guarded by construction and a
- * mismatch is a compiler bug (simulator panic).
- *
- * This executor is the *reference semantics* for the region template
- * tier (src/jit/), which re-implements every op body as a bound
- * continuation template and is pinned bit-identical by
- * tests/test_jit.cc — a behavioural change here (charge order, check
- * sequencing, trace points, injection sites) must be mirrored there,
- * and the differential will fail until it is.
+ * This is the reference loop (EngineConfig::jitTier = false) for the
+ * region template tier (src/jit/). Both loops take every op body and
+ * every exit from ftl/ir_semantics.h, so they cannot drift apart in
+ * semantics; tests/test_jit.cc pins what only the template tier adds
+ * (binding, fusion, segment entry, refunds, rebinding) bit-identical
+ * against this loop.
  */
 
 #include "engine/config.h"
@@ -48,35 +40,10 @@ class IrExecutor
     Value run(IrFunction &ir, BytecodeFunction &fn, const Value *args,
               uint32_t nargs);
 
-    /** Consecutive capacity aborts observed (engine escalates scope). */
-    uint32_t consecutiveCapacityAborts() const { return capAborts; }
-    /** Consecutive explicit-check aborts (engine detransactionalizes). */
-    uint32_t consecutiveCheckAborts() const { return checkAborts; }
-    void resetAbortFeedback() { capAborts = 0; checkAborts = 0; }
-
   private:
     /**
-     * Feature mask bits for runImpl. Each combination compiles a
-     * separate copy of the dispatch loop, selected once per run, so a
-     * disabled feature costs nothing on the hot path — not even a
-     * predicted branch.
-     */
-    static constexpr unsigned kFeatBatched = 1u; ///< Batched accounting.
-    static constexpr unsigned kFeatInject = 2u;  ///< Fault plan armed.
-    static constexpr unsigned kFeatTrace = 4u;   ///< Trace sink live.
-
-    /**
-     * The dispatch loop, walking the function's flat predecoded run
-     * stream. kFeat & kFeatBatched selects the accounting strategy:
-     * set charges each charge segment's static cost once on segment
-     * entry (refunding the unexecuted suffix on deopt/abort/watchdog
-     * exits), clear charges every op individually. kFeatInject
-     * compiles in the fault-injection polls (env.inj is non-null for
-     * the whole run or not at all); kFeatTrace the trace-event emits
-     * (TraceBuffer::enabled() is fixed at construction). Every
-     * variant must produce bit-identical results, ExecutionStats, and
-     * traces; the differential accounting/trace/chaos tests enforce
-     * it.
+     * The dispatch loop over the function's flat predecoded run
+     * stream, compiled once per feature mask (irsem::kFeat*).
      */
     template <unsigned kFeat>
     Value runImpl(IrFunction &ir, BytecodeFunction &fn,
@@ -85,8 +52,6 @@ class IrExecutor
     ExecEnv &env;
     BytecodeExecutor &baseline;
     const EngineConfig &config;
-    uint32_t capAborts = 0;
-    uint32_t checkAborts = 0;
 };
 
 } // namespace nomap

@@ -295,7 +295,7 @@ CheckKind checkKindOf(IrOp op);
  * checkKindOf without the non-check assert, for call sites that have
  * already established the op is a check.
  */
-inline CheckKind
+constexpr CheckKind
 checkKindOfUnchecked(IrOp op)
 {
     switch (op) {

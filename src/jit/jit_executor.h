@@ -16,21 +16,14 @@
  * trick, applied to bound per-record continuations).
  *
  * Everything observable is shared with the FTL executor
- * (ftl/ir_executor.cc), whose runImpl this loop mirrors body for
- * body: the same ExecEnv, the same Accounting calls in the same
- * order (segment charges, per-op charges, runtime/check charges,
- * cancellation polls), the same fault-injection sites firing in the
- * same occurrence order, the same trace events, the same
- * deopt/OSR-into-Baseline and transactional abort/unwind paths. The
- * compiled tier is bit-identical to FTL in results, ExecutionStats,
- * and trace streams — enforced by tests/test_jit.cc — so it is a
- * pure host-speed tier, exactly like quickening and batching before
- * it.
- *
- * Without NOMAP_COMPUTED_GOTO the templates compile as a portable
- * switch over JitSpec and the per-record `fn` bindings go unused;
- * specialization (split bodies, fused superinstructions) still
- * applies.
+ * (ftl/ir_executor.cc): both loops take every op body and exit —
+ * Accounting calls and their order, fault-injection sites, trace
+ * events, deopt/OSR-into-Baseline and transactional abort/unwind
+ * paths — from ftl/ir_semantics.h. The compiled tier is therefore
+ * bit-identical to FTL in results, ExecutionStats, and trace streams,
+ * a pure host-speed tier exactly like quickening and batching before
+ * it; tests/test_jit.cc pins what this tier adds on top (binding,
+ * fusion, segment entry, refunds, rebinding).
  */
 
 #include <array>
@@ -60,17 +53,11 @@ class JitExecutor
               const Value *args, uint32_t nargs);
 
   private:
-    // Feature mask bits, identical to IrExecutor's: each combination
-    // is a separately compiled copy of the continuation templates,
-    // selected (and bound into the chain) once per run.
-    static constexpr unsigned kFeatBatched = 1u;
-    static constexpr unsigned kFeatInject = 2u;
-    static constexpr unsigned kFeatTrace = 4u;
-
     using LabelTable = std::array<const void *, kNumJitSpecs>;
 
     /**
-     * The template bodies. Static (not a member) so the label-capture
+     * The template bodies, compiled once per feature mask
+     * (irsem::kFeat*). Static (not a member) so the label-capture
      * call can run without an instance: when @p capture is non-null
      * the function stores every template's label address into it and
      * returns immediately — @p self and the run operands may be null.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
+#include "testing/stats_equal.h"
 
 namespace nomap {
 namespace {
@@ -10,6 +11,12 @@ namespace {
  * conditions: flattened transaction nesting, tiled commits with
  * promoted accumulators, RTM read-set pressure, and the transaction
  * watchdog.
+ *
+ * Optimized IR has two executors: the region template tier (the
+ * default) and the IrExecutor reference loop (jitTier = false), which
+ * the default path never enters. runArch runs every program on both
+ * and expects them to agree on the result and every counter, so each
+ * test's expectations hold for both.
  */
 
 EngineResult
@@ -17,8 +24,17 @@ runArch(Architecture arch, const std::string &src,
         EngineConfig base = EngineConfig())
 {
     base.arch = arch;
-    Engine engine(base);
-    return engine.run(src);
+    EngineResult runs[2];
+    for (int jit = 0; jit < 2; ++jit) {
+        base.jitTier = jit != 0;
+        Engine engine(base);
+        runs[jit] = engine.run(src);
+    }
+    const EngineResult &ref = runs[0];
+    EXPECT_EQ(runs[1].resultString, ref.resultString);
+    EXPECT_EQ(runs[1].printed, ref.printed);
+    testutil::expectSameStats(runs[1].stats, ref.stats);
+    return ref;
 }
 
 TEST(FtlExecutor, FlattenedNestedTransactionsCommit)

@@ -28,6 +28,7 @@
 #include "jit/jit_chain.h"
 #include "suites/suite.h"
 #include "testing/program_generator.h"
+#include "testing/stats_equal.h"
 #include "trace/trace.h"
 
 namespace nomap {
@@ -64,44 +65,11 @@ runOutcome(const std::string &source, Architecture arch, bool jit,
 }
 
 void
-expectSameStats(const ExecutionStats &jit, const ExecutionStats &ftl)
-{
-    for (size_t b = 0;
-         b < static_cast<size_t>(InstrBucket::NumBuckets); ++b) {
-        EXPECT_EQ(jit.instr[b], ftl.instr[b]) << "instr bucket " << b;
-    }
-    for (size_t k = 0; k < static_cast<size_t>(CheckKind::NumKinds);
-         ++k) {
-        EXPECT_EQ(jit.checks[k], ftl.checks[k])
-            << "check kind " << checkKindName(static_cast<CheckKind>(k));
-    }
-    // Exact equality on the doubles (see test_accounting_diff): the
-    // compiled tier must charge the very same integer units in the
-    // very same order.
-    EXPECT_EQ(jit.cyclesTm, ftl.cyclesTm);
-    EXPECT_EQ(jit.cyclesNonTm, ftl.cyclesNonTm);
-    EXPECT_EQ(jit.ftlFunctionCalls, ftl.ftlFunctionCalls);
-    EXPECT_EQ(jit.deopts, ftl.deopts);
-    EXPECT_EQ(jit.baselineCompiles, ftl.baselineCompiles);
-    EXPECT_EQ(jit.dfgCompiles, ftl.dfgCompiles);
-    EXPECT_EQ(jit.ftlCompiles, ftl.ftlCompiles);
-    EXPECT_EQ(jit.ftlRecompiles, ftl.ftlRecompiles);
-    EXPECT_EQ(jit.txCommits, ftl.txCommits);
-    EXPECT_EQ(jit.txAborts, ftl.txAborts);
-    EXPECT_EQ(jit.txAbortsCapacity, ftl.txAbortsCapacity);
-    EXPECT_EQ(jit.txAbortsCheck, ftl.txAbortsCheck);
-    EXPECT_EQ(jit.txAbortsSof, ftl.txAbortsSof);
-    EXPECT_EQ(jit.avgWriteFootprintBytes, ftl.avgWriteFootprintBytes);
-    EXPECT_EQ(jit.maxWriteFootprintBytes, ftl.maxWriteFootprintBytes);
-    EXPECT_EQ(jit.maxWriteWaysUsed, ftl.maxWriteWaysUsed);
-}
-
-void
 expectSameOutcome(const Outcome &jit, const Outcome &ftl)
 {
     EXPECT_EQ(jit.result, ftl.result);
     EXPECT_EQ(jit.printed, ftl.printed);
-    expectSameStats(jit.stats, ftl.stats);
+    testutil::expectSameStats(jit.stats, ftl.stats);
     // Element-wise trace equality, virtual-cycle timestamps included:
     // the compiled tier must not shift when any event is emitted.
     ASSERT_EQ(jit.events.size(), ftl.events.size());
@@ -277,6 +245,47 @@ result = out;
             EXPECT_FALSE(state->pendingRecompile);
         }
         expectSameOutcome(out[1], out[0]);
+    }
+}
+
+// The tiled-commit exit: TxTile commits the owned transaction every
+// imm iterations and begins the next tile at the same SMP, where an
+// injected begin-abort resumes Baseline from the new tile's snapshot.
+// htm.abort@k counts outermost begins, and each transactional call of
+// fill() begins once and then re-begins at every tile, so the sweep's
+// aborts land on TxTile re-begins; the suites above never reach that
+// exit under their fault plans.
+TEST(JitTiledCommit, AbortedTileRebeginsMatchIrExecutor)
+{
+    const std::string src = R"JS(
+var total = 0;
+function fill(dst, n) {
+    for (var i = 0; i < n; i++) {
+        dst[i] = i & 255;
+        total = (total + (i & 7)) % 100000;
+    }
+    return dst[n - 1];
+}
+var dst = [];
+for (var i = 0; i < 60000; i++) dst[i] = 0;
+var out = 0;
+for (var r = 0; r < 70; r++) { total = 0; out = fill(dst, 60000); }
+result = out + total;
+)JS";
+
+    for (const char *text : {"htm.abort@2", "htm.abort@7",
+                             "htm.abort@40"}) {
+        SCOPED_TRACE(text);
+        FaultPlan plan = FaultPlan::parse(text);
+        Outcome jit = runOutcome(src, Architecture::NoMap, true,
+                                 1u << 16, &plan);
+        Outcome ref = runOutcome(src, Architecture::NoMap, false,
+                                 1u << 16, &plan);
+        expectSameOutcome(jit, ref);
+        // Vacuity guards: the loop really tiled (more commits than
+        // the 70 calls could make untiled) and the plan fired.
+        EXPECT_GT(ref.stats.txCommits, 100u);
+        EXPECT_GE(ref.stats.txAborts, 1u);
     }
 }
 
